@@ -1,6 +1,9 @@
 # Development targets.
 #
-#   make test           tier-1 gate: build everything, run every test
+#   make test           tier-1 gate: build everything, run the unfused
+#                       cell-kernel bit-identity and GD allocation pins under
+#                       GOMAXPROCS 1 and 2 (serial and pool-split sweeps),
+#                       then run every test
 #   make check          static analysis + race detector over the concurrent
 #                       packages (pool, la, compress, paramserver, storage,
 #                       ooc, opt, metrics, dml, experiments, factorized,
@@ -13,8 +16,9 @@
 #                       keep the two in lockstep so CI and local verification
 #                       cannot drift
 #   make fuzz-smoke     15s native-fuzzing passes over the DML fusion
-#                       properties (fused vs unfused, compiled vs interpreted)
-#                       and the serving wire protocol (decode/round-trip)
+#                       properties (fused vs unfused, compiled vs interpreted),
+#                       the DML front end on raw bytes (parse/optimize never
+#                       panics) and the serving wire protocol (decode/round-trip)
 #   make serve-smoke    end-to-end inference-serving smoke: in-process
 #                       dmmlserve + loadtest closed loop, fails below
 #                       20k predictions/s or on any request error
@@ -59,8 +63,13 @@ RACE_PKGS := ./internal/pool/... ./internal/la/... ./internal/compress/... \
 .PHONY: test check ci vet vet-engine race bench bench-guard bench-guard-strict \
 	cover fuzz-nightly lint-examples fuzz-smoke serve-smoke
 
+# The cell kernels split their sweep over the pool only when GOMAXPROCS > 1,
+# so the bit-identity and allocation pins run under both regimes.
+CELL_PINS := TestUnfusedCellwiseMatchesScalar|TestUnfusedGDAllocations
+
 test:
 	$(GO) build ./...
+	$(GO) test -count=1 -cpu 1,2 -run '^($(CELL_PINS))$$' ./internal/dml
 	$(GO) test ./...
 
 check: vet vet-engine race
@@ -92,6 +101,7 @@ bench:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFusionSemantics$$' -fuzztime 15s ./internal/dml
 	$(GO) test -run '^$$' -fuzz 'FuzzCompiledFusionSemantics$$' -fuzztime 15s ./internal/dml
+	$(GO) test -run '^$$' -fuzz 'FuzzDMLParse$$' -fuzztime 15s ./internal/dml
 	$(GO) test -run '^$$' -fuzz 'FuzzServeProtocol$$' -fuzztime 15s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzFactorizedGram$$' -fuzztime 15s ./internal/factorized
 
@@ -135,13 +145,14 @@ cover:
 	check compress $(COVER_FLOOR_COMPRESS); \
 	check factorized $(COVER_FLOOR_FACTORIZED)
 
-# Nightly extended fuzzing: the same three properties fuzz-smoke touches for
-# 15s each get 5 minutes each.
+# Nightly extended fuzzing: the same properties fuzz-smoke touches for 15s
+# each get 5 minutes each.
 FUZZ_NIGHTLY_TIME ?= 5m
 
 fuzz-nightly:
 	$(GO) test -run '^$$' -fuzz 'FuzzFusionSemantics$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/dml
 	$(GO) test -run '^$$' -fuzz 'FuzzCompiledFusionSemantics$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/dml
+	$(GO) test -run '^$$' -fuzz 'FuzzDMLParse$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/dml
 	$(GO) test -run '^$$' -fuzz 'FuzzServeProtocol$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzFactorizedGram$$' -fuzztime $(FUZZ_NIGHTLY_TIME) ./internal/factorized
 

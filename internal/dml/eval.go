@@ -248,9 +248,7 @@ func (e *evaluator) evalRaw(n Node) (Value, error) {
 		if v.O != nil {
 			return Value{}, oocUnsupported("unary minus")
 		}
-		out := v.M.Clone().Scale(-1)
-		e.allocCells(out.Rows(), out.Cols())
-		return Matrix(out), nil
+		return e.cellwise(la.FuseNeg, v, Value{}), nil
 	case *BinOp:
 		return e.evalBinOp(t)
 	case *Call:
@@ -285,67 +283,63 @@ func (e *evaluator) evalBinOp(n *BinOp) (Value, error) {
 		}
 		return Scalar(boolToFloat(compare(n.Op, l.S, r.S))), nil
 	}
-	apply := func(a, b float64) (float64, error) {
-		switch n.Op {
-		case "+":
-			return a + b, nil
-		case "-":
-			return a - b, nil
-		case "*":
-			return a * b, nil
-		case "/":
-			return a / b, nil
-		case "^":
-			return math.Pow(a, b), nil
-		}
-		return 0, fmt.Errorf("unknown operator %q", n.Op)
-	}
-	switch {
-	case l.IsScalar && r.IsScalar:
-		v, err := apply(l.S, r.S)
-		return Scalar(v), err
-	case l.IsScalar:
-		out := r.M.Clone()
-		e.allocCells(out.Rows(), out.Cols())
-		var ferr error
-		out.Apply(func(x float64) float64 {
-			v, err := apply(l.S, x)
-			if err != nil {
-				ferr = err
-			}
-			return v
-		})
-		return Matrix(out), ferr
-	case r.IsScalar:
-		out := l.M.Clone()
-		e.allocCells(out.Rows(), out.Cols())
-		var ferr error
-		out.Apply(func(x float64) float64 {
-			v, err := apply(x, r.S)
-			if err != nil {
-				ferr = err
-			}
-			return v
-		})
-		return Matrix(out), ferr
+	switch n.Op {
+	case "+", "-", "*", "/", "^":
 	default:
+		return Value{}, fmt.Errorf("unknown operator %q", n.Op)
+	}
+	if l.IsScalar && r.IsScalar {
+		return Scalar(applyScalar(n.Op, l.S, r.S)), nil
+	}
+	if !l.IsScalar && !r.IsScalar {
 		lr, lc := l.M.Dims()
 		rr, rc := r.M.Dims()
 		if lr != rr || lc != rc {
 			return Value{}, fmt.Errorf("element-wise %s on %dx%d and %dx%d", n.Op, lr, lc, rr, rc)
 		}
-		out := l.M.Clone()
-		e.allocCells(lr, lc)
-		ld, rd := out.RawData(), r.M.RawData()
-		for i := range ld {
-			v, err := apply(ld[i], rd[i])
-			if err != nil {
-				return Value{}, err
-			}
-			ld[i] = v
-		}
-		return Matrix(out), nil
 	}
+	return e.cellwise(binFuseCode(n.Op), l, r), nil
+}
+
+// applyScalar evaluates an arithmetic operator on two scalars.
+func applyScalar(op string, a, b float64) float64 {
+	switch op {
+	case "+":
+		return a + b
+	case "-":
+		return a - b
+	case "*":
+		return a * b
+	case "/":
+		return a / b
+	default: // "^"
+		return math.Pow(a, b)
+	}
+}
+
+// cellwise runs one element-wise operator with at least one dense matrix
+// operand (b is ignored for unary codes) through la's tile kernels, writing
+// straight into a fresh output. These are the same loops the compiled fused
+// templates run, split over the worker pool on large inputs.
+func (e *evaluator) cellwise(code la.FuseOpCode, a, b Value) Value {
+	m := a.M
+	if m == nil {
+		m = b.M
+	}
+	rows, cols := m.Dims()
+	out := la.CellInto(la.NewDense(rows, cols), code, cellInput(a), cellInput(b))
+	e.allocCells(rows, cols)
+	return Matrix(out)
+}
+
+func cellInput(v Value) la.FusedInput {
+	switch {
+	case v.IsScalar:
+		return la.ScalarInput(v.S)
+	case v.M != nil:
+		return la.DenseInput(v.M)
+	}
+	return la.FusedInput{}
 }
 
 // evalMatMul executes %*% with physical-operator selection: t(X) %*% X maps
@@ -395,7 +389,7 @@ func (e *evaluator) evalMatMul(n *BinOp) (Value, error) {
 					return Value{}, fmt.Errorf("%%*%% on %dx%d and %dx%d",
 						innerV.O.Cols(), innerV.O.Rows(), rv.M.Rows(), rv.M.Cols())
 				}
-				res := innerV.O.VecMat(rv.M.Col(0))
+				res := innerV.O.VecMat(rv.M.RawData())
 				e.stats.Flops += 2 * float64(innerV.O.Rows()) * float64(innerV.O.Cols())
 				e.allocCells(len(res), 1)
 				out, err := la.NewDenseData(len(res), 1, res)
@@ -408,14 +402,12 @@ func (e *evaluator) evalMatMul(n *BinOp) (Value, error) {
 			if a.Rows() != rv.M.Rows() {
 				return Value{}, fmt.Errorf("%%*%% on %dx%d and %dx%d", a.Cols(), a.Rows(), rv.M.Rows(), rv.M.Cols())
 			}
-			col := rv.M.Col(0)
-			res := la.VecMat(col, a)
+			// A column vector's storage is the vector itself: read it in
+			// place and accumulate straight into the output's storage.
+			out := la.NewDense(a.Cols(), 1)
+			la.VecMatInto(out.RawData(), rv.M.RawData(), a)
 			e.stats.Flops += 2 * float64(a.Rows()) * float64(a.Cols())
-			e.allocCells(len(res), 1)
-			out := la.NewDense(len(res), 1)
-			for i, v := range res {
-				out.Set(i, 0, v)
-			}
+			e.allocCells(a.Cols(), 1)
 			return Matrix(out), nil
 		}
 		if innerV.O != nil {
@@ -451,7 +443,7 @@ func (e *evaluator) genericMatMul(l, r Value) (Value, error) {
 		if rc != 1 {
 			return Value{}, oocUnsupported("X %*% B with a wide right operand")
 		}
-		res := l.O.MatVec(r.M.Col(0))
+		res := l.O.MatVec(r.M.RawData())
 		e.stats.Flops += 2 * float64(l.O.Rows()) * float64(l.O.Cols())
 		e.allocCells(len(res), 1)
 		out, err := la.NewDenseData(len(res), 1, res)
@@ -468,11 +460,8 @@ func (e *evaluator) genericMatMul(l, r Value) (Value, error) {
 	e.stats.Flops += 2 * float64(lr) * float64(lc) * float64(rc)
 	e.allocCells(lr, rc)
 	if rc == 1 {
-		res := la.MatVec(l.M, r.M.Col(0))
 		out := la.NewDense(lr, 1)
-		for i, v := range res {
-			out.Set(i, 0, v)
-		}
+		la.MatVecInto(out.RawData(), l.M, r.M.RawData())
 		return Matrix(out), nil
 	}
 	return Matrix(la.MatMul(l.M, r.M)), nil
@@ -650,9 +639,7 @@ func (e *evaluator) evalCall(n *Call) (Value, error) {
 		if args[0].O != nil {
 			return Value{}, oocUnsupported(n.Fn)
 		}
-		out := args[0].M.Clone().Apply(f)
-		e.allocCells(out.Rows(), out.Cols())
-		return Matrix(out), nil
+		return e.cellwise(callFuseCode(n.Fn), args[0], Value{}), nil
 	}
 	switch n.Fn {
 	case "t":

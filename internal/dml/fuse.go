@@ -220,8 +220,9 @@ func (fz *fuser) fuseSpec(spec *IndexSpec) *IndexSpec {
 
 // tryCell fuses an elementwise region rooted at n into a Cell template.
 // Regions of fewer than two operators are left alone: a single elementwise
-// op materializes exactly its output either way, so fusion would only add
-// dispatch overhead.
+// op materializes exactly its output either way, and the evaluator already
+// runs it on the same la tile kernels, pool-split, through la.CellInto — so
+// fusion would only add program dispatch.
 func (fz *fuser) tryCell(n Node) Node {
 	if !fz.fusableOp(n) {
 		return nil
