@@ -64,6 +64,17 @@ func (c *csvBindings) Set(v string) error {
 	return nil
 }
 
+// fuseOptimizer maps a -fuse value onto the optimizer entry point it picks.
+func fuseOptimizer(mode string) (func(*dml.Program, map[string]dml.Shape) *dml.Program, error) {
+	switch mode {
+	case "compile":
+		return (*dml.Program).Optimize, nil
+	case "off":
+		return (*dml.Program).OptimizeUnfused, nil
+	}
+	return nil, fmt.Errorf("-fuse: unknown mode %q (want compile or off)", mode)
+}
+
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "lint" {
 		os.Exit(runLint(os.Args[2:], os.Stdout, os.Stderr))
@@ -77,7 +88,7 @@ func run() int {
 	expr := flag.String("e", "", "evaluate this expression instead of a file")
 	explain := flag.Bool("explain", false, "print the optimized program before running")
 	noOpt := flag.Bool("no-opt", false, "disable the rewrite optimizer")
-	fuse := flag.String("fuse", "compile", "fused-region backend: compile (closure kernels), interp (tile interpreter), off (no fusion)")
+	fuse := flag.String("fuse", "compile", "operator fusion: compile (fused regions run on compiled kernels), off (no fusion)")
 	statsFlag := flag.Bool("stats", false, "collect engine metrics and print a per-operator time table")
 	statsTop := flag.Int("stats-top", 15, "rows in the -stats operator table (0 = all)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -141,7 +152,7 @@ func run() int {
 	src := *expr
 	if src == "" {
 		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: dmml [-e expr] [-explain] [-no-opt] [-fuse compile|interp|off] [-stats] [-csv name=path] [-ooc-budget size] [script.dml]")
+			fmt.Fprintln(os.Stderr, "usage: dmml [-e expr] [-explain] [-no-opt] [-fuse compile|off] [-stats] [-csv name=path] [-ooc-budget size] [script.dml]")
 			return 2
 		}
 		data, err := os.ReadFile(flag.Arg(0))
@@ -165,12 +176,12 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-	fuseMode, err := dml.ParseFusionMode(*fuse)
+	optimize, err := fuseOptimizer(*fuse)
 	if err != nil {
 		return fail(err)
 	}
 	if !*noOpt {
-		prog = prog.OptimizeFusion(dml.ShapesFromEnv(env), fuseMode)
+		prog = optimize(prog, dml.ShapesFromEnv(env))
 	}
 	if *explain {
 		fmt.Println("# optimized program:")

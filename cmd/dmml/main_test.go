@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dmml/internal/dml"
+	"dmml/internal/la"
 )
 
 func writeFile(t *testing.T, path, content string) {
@@ -78,6 +81,31 @@ func TestLintExampleScripts(t *testing.T) {
 		code, out := lint(t, "-strict", s)
 		if code != 0 {
 			t.Errorf("%s: exit %d:\n%s", s, code, out)
+		}
+	}
+}
+
+// TestFuseFlag: -fuse=compile fuses, -fuse=off does not, and any other
+// value — the retired interp among them — fails naming the valid modes.
+func TestFuseFlag(t *testing.T) {
+	prog, err := dml.Parse("y = sigmoid(X * 2 + 1) * X")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shapes := dml.ShapesFromEnv(dml.Env{"X": dml.Matrix(la.NewDense(4, 3))})
+	for mode, regions := range map[string]int{"compile": 1, "off": 0} {
+		optimize, err := fuseOptimizer(mode)
+		if err != nil {
+			t.Fatalf("-fuse=%s: %v", mode, err)
+		}
+		if n := optimize(prog, shapes).FusedRegionCount(); n != regions {
+			t.Errorf("-fuse=%s: %d fused regions, want %d", mode, n, regions)
+		}
+	}
+	for _, mode := range []string{"interp", "", "compiled"} {
+		_, err := fuseOptimizer(mode)
+		if err == nil || !strings.Contains(err.Error(), "want compile or off") {
+			t.Errorf("-fuse=%q: error %v, want one listing compile and off", mode, err)
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package dml
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -449,5 +451,71 @@ m = sum(exp(A / 4) - 1)`
 	}
 	if !valueClose(want, got, 1e-9) {
 		t.Fatalf("transcendental region diverges: %v vs %v", want, got)
+	}
+}
+
+// Every fused region runs on a compiled kernel: the unfused plan forms no
+// regions, the fused plan reports each execution compiled, and both agree.
+func TestFusedRegionsRunCompiled(t *testing.T) {
+	const rows, cols = 31, 7
+	src := `h = sigmoid(X * 2 + 1) * X - X / 3
+loss = sum((h - Y) ^ 2)`
+	shapes := map[string]Shape{"X": matShape(rows, cols), "Y": matShape(rows, cols)}
+	r := rand.New(rand.NewSource(51))
+	env := Env{"X": Matrix(randDense(r, rows, cols)), "Y": Matrix(randDense(r, rows, cols))}
+	prog := mustParse(t, src)
+
+	unfused := prog.OptimizeUnfused(shapes)
+	if n := unfused.FusedRegionCount(); n != 0 {
+		t.Fatalf("OptimizeUnfused left %d fused regions", n)
+	}
+	want, _, err := unfused.Run(cloneEnv(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := prog.Optimize(shapes).Run(cloneEnv(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.FusedRegions == 0 || stats.FusedCompiled != stats.FusedRegions {
+		t.Fatalf("FusedRegions=%d FusedCompiled=%d, want all compiled", stats.FusedRegions, stats.FusedCompiled)
+	}
+	if !valueClose(want, got, 1e-8) {
+		t.Fatalf("fused %v, unfused %v", got, want)
+	}
+}
+
+// A region wider than la's kernel signature is refused by la.CompileFused;
+// the fuser then fuses the expression as smaller regions instead.
+func TestFuseWideExpressionSplits(t *testing.T) {
+	const rows, cols, n = 6, 5, 32
+	r := rand.New(rand.NewSource(52))
+	shapes := map[string]Shape{}
+	env := Env{}
+	terms := make([]string, n)
+	for i := range terms {
+		name := fmt.Sprintf("X%d", i+1)
+		terms[i] = name
+		shapes[name] = matShape(rows, cols)
+		env[name] = Matrix(randDense(r, rows, cols))
+	}
+	prog := mustParse(t, "out = "+strings.Join(terms, " + "))
+	want, _, err := prog.OptimizeUnfused(shapes).Run(cloneEnv(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused := prog.Optimize(shapes)
+	if fused.FusedRegionCount() == 0 {
+		t.Fatalf("%d-input sum formed no fused region", n)
+	}
+	got, stats, err := fused.Run(cloneEnv(env))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.FusedRegions == 0 || stats.FusedCompiled != stats.FusedRegions {
+		t.Fatalf("FusedRegions=%d FusedCompiled=%d, want all compiled", stats.FusedRegions, stats.FusedCompiled)
+	}
+	if !valueClose(want, got, 0) {
+		t.Fatalf("split regions %v, unfused %v", got, want)
 	}
 }

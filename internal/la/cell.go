@@ -56,27 +56,19 @@ func cellCheckDense(out *Dense, in FusedInput, what string) {
 	}
 }
 
-// cellRange applies the operator over the flat element range [lo,hi) of dst.
-// Sigmoid takes the compiled backend's tile-vectorized loop; every other
-// code goes through the interpreter's dispatch onto the same named loops.
-//
-//dmml:noalloc
+// cellRange applies the operator over the flat element range [lo,hi) of dst
+// through the loop selector for its operand kinds (sigmoid resolves to the
+// tile-vectorized sigmoidTile).
 func cellRange(dst []float64, code FuseOpCode, a, b FusedInput, lo, hi int) {
 	d := dst[lo:hi]
 	switch {
-	case code == FuseSigmoid:
-		sigmoidTile(d, a.D.data[lo:hi])
 	case code >= FuseNeg:
-		fuseUnInto(code, d, a.D.data[lo:hi])
+		uLoopC(code)(d, a.D.data[lo:hi])
+	case a.IsScalar:
+		svLoop(code)(d, a.S, b.D.data[lo:hi])
+	case b.IsScalar:
+		vsLoop(code)(d, a.D.data[lo:hi], b.S)
 	default:
-		fuseBinInto(code, d, cellSlot(a, lo, hi), cellSlot(b, lo, hi))
+		vvLoop(code)(d, a.D.data[lo:hi], b.D.data[lo:hi])
 	}
-}
-
-//dmml:noalloc
-func cellSlot(in FusedInput, lo, hi int) fuseSlot {
-	if in.IsScalar {
-		return fuseSlot{s: in.S}
-	}
-	return fuseSlot{vec: in.D.data[lo:hi]}
 }

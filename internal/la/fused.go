@@ -11,8 +11,9 @@ import (
 
 // Fused operator pipelines (SPOOF-lite). The DML compiler collapses
 // single-consumer elementwise regions into a postfix micro-op program; this
-// file interprets such programs over row tiles so a whole expression tree
-// makes one pass over its inputs and materializes (at most) one output:
+// file validates such programs and runs their compiled kernels (fusedc.go,
+// fusedflat.go) over row tiles, so a whole expression tree makes one pass
+// over its inputs and materializes (at most) one output:
 //
 //   - Cell template: FusedCellInto evaluates the program per element into a
 //     single dst matrix — no intermediate Dense per operator.
@@ -20,13 +21,13 @@ import (
 //     FusedMatVecInto reduce the program's virtual result without
 //     materializing it at all.
 //
-// The interpreter is a stack machine whose slots are either scalars or
-// tile-wide vectors. Vector slots live in one pool.GetF64 scratch block per
-// worker, so steady-state fused evaluation allocates nothing. Dense inputs
-// are loaded as zero-copy sub-slices; CSR inputs decompress a tile in
-// O(nnz) time (the zero run between stored entries is a memset, never a
-// per-element walk of the sparse structure), and fully zero-annihilating
-// single-sparse-input aggregations skip the zero cells outright.
+// A kernel's vector nodes write into per-stack-slot tiles of one
+// pool.GetF64 scratch block per worker, so steady-state fused evaluation
+// allocates nothing. Dense inputs are loaded as zero-copy sub-slices; CSR
+// inputs decompress a tile in O(nnz) time (the zero run between stored
+// entries is a memset, never a per-element walk of the sparse structure),
+// and fully zero-annihilating single-sparse-input aggregations skip the
+// zero cells outright.
 
 // FuseOpCode enumerates the micro-ops of a fused program.
 type FuseOpCode uint8
@@ -80,12 +81,16 @@ func CSRInput(c *CSR) FusedInput { return FusedInput{C: c} }
 
 const (
 	// fusedTileW is the tile width in elements: large enough to amortize
-	// the per-tile dispatch switch, small enough that depth·tile scratch
+	// the per-tile kernel call chain, small enough that depth·tile scratch
 	// (and the tile itself) stay L1/L2-resident.
 	fusedTileW = 512
 	// fuseMaxDepth bounds the operand stack; expression trees deeper than
 	// this are rejected at compile time (the DML fuser never builds them).
 	fuseMaxDepth = 16
+	// fuseMaxInputs bounds a program's inputs: the kernel cache key packs
+	// one two-bit kind per input under a leading sentinel bit into a
+	// uint64. The DML fuser splits wider expressions into smaller regions.
+	fuseMaxInputs = 31
 )
 
 // FuseProgram is a validated fused micro-op program ready for execution.
@@ -95,27 +100,21 @@ type FuseProgram struct {
 	depth int // maximum operand-stack depth
 	arith int // arithmetic ops per element (excludes loads/consts)
 
-	// backend selects interpretation vs compilation to closure kernels; the
-	// compiled path caches one kernel per input-kind signature (fusedc.go).
-	// Set the backend before first execution: kernelFor reads it unlocked.
-	backend FuseBackend
+	// One compiled kernel per input-kind signature (fusedc.go).
 	kmu     sync.Mutex
 	kernels atomic.Pointer[map[uint64]*fusedKernel]
 }
 
-// SetBackend selects the execution backend. Call before the program's first
-// execution; the dispatch path reads the field without synchronization.
-func (p *FuseProgram) SetBackend(b FuseBackend) { p.backend = b }
-
-// Backend reports the program's execution backend.
-func (p *FuseProgram) Backend() FuseBackend { return p.backend }
-
 // CompileFused validates a postfix program over nin inputs: every opcode
 // must be known, stack effects must balance to exactly one result, loads
-// must be in range, and the operand stack must fit the interpreter.
+// must be in range, the operand stack must fit fuseMaxDepth slots and the
+// inputs the fuseMaxInputs-wide kernel signature.
 func CompileFused(ops []FusedOp, nin int) (*FuseProgram, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("la: CompileFused empty program")
+	}
+	if nin > fuseMaxInputs {
+		return nil, fmt.Errorf("la: CompileFused program has %d inputs, more than %d", nin, fuseMaxInputs)
 	}
 	depth, maxDepth, arith := 0, 0, 0
 	for i, op := range ops {
@@ -161,23 +160,16 @@ func (p *FuseProgram) NumInputs() int { return p.nin }
 // number of intermediate matrices a naive evaluation would materialize.
 func (p *FuseProgram) ArithOps() int { return p.arith }
 
-// fuseSlot is one stack slot: a tile-wide vector (vec != nil) or a scalar.
-type fuseSlot struct {
-	vec []float64
-	s   float64
-}
-
-// fuseCtx is the per-worker interpreter state. Contexts are recycled
-// through a sync.Pool and their vector scratch comes from pool.GetF64, so a
+// fuseCtx is the per-worker kernel state. Contexts are recycled through a
+// sync.Pool and their slot scratch comes from pool.GetF64, so a
 // steady-state fused loop performs no heap allocation.
 type fuseCtx struct {
-	stack   [fuseMaxDepth]fuseSlot
 	scratch [fuseMaxDepth][]float64
 	buf     []float64
 
-	// Bindings for the compiled backend: closure kernels capture no per-call
-	// state, so the inputs, hoisted dynamic scalars, and logical column count
-	// of the current call travel through the pooled context instead.
+	// Closure kernels capture no per-call state, so the inputs, hoisted
+	// dynamic scalars, and logical column count of the current call travel
+	// through the pooled context instead.
 	ins  []FusedInput
 	sv   []float64
 	cols int
@@ -185,16 +177,18 @@ type fuseCtx struct {
 
 var fuseCtxPool = sync.Pool{New: func() any { return new(fuseCtx) }}
 
-// getFuseCtx hands out a per-worker interpreter context whose vector
-// scratch block deliberately outlives this call: putFuseCtx releases it.
+// getFuseCtx hands out a per-worker kernel context bound to one call's
+// inputs, whose slot scratch block deliberately outlives this call:
+// putFuseCtx releases it.
 //
 //dmml:owns-scratch
-func getFuseCtx(depth int) *fuseCtx {
+func getFuseCtx(depth int, ins []FusedInput, sv []float64, cols int) *fuseCtx {
 	ctx := fuseCtxPool.Get().(*fuseCtx)
 	ctx.buf = pool.GetF64(depth * fusedTileW)
 	for i := 0; i < depth; i++ {
 		ctx.scratch[i] = ctx.buf[i*fusedTileW : (i+1)*fusedTileW]
 	}
+	ctx.ins, ctx.sv, ctx.cols = ins, sv, cols
 	return ctx
 }
 
@@ -204,69 +198,14 @@ func putFuseCtx(ctx *fuseCtx) {
 	for i := range ctx.scratch {
 		ctx.scratch[i] = nil
 	}
-	for i := range ctx.stack {
-		ctx.stack[i] = fuseSlot{}
-	}
 	ctx.ins, ctx.sv, ctx.cols = nil, nil, 0
 	fuseCtxPool.Put(ctx)
-}
-
-// evalTile interprets the program over the flat element range [lo,hi) of
-// the logical rows×cols space (hi-lo ≤ fusedTileW). Results of arithmetic
-// ops are written into the scratch slice of their stack position, so a
-// caller may pre-bind scratch[0] to the destination tile and receive the
-// final vector in place.
-func (p *FuseProgram) evalTile(ctx *fuseCtx, ins []FusedInput, cols, lo, hi int) fuseSlot {
-	n := hi - lo
-	stack := &ctx.stack
-	sp := 0
-	for _, op := range p.ops {
-		switch op.Code {
-		case FuseConst:
-			stack[sp] = fuseSlot{s: op.Val}
-			sp++
-		case FuseLoad:
-			in := &ins[op.Arg]
-			switch {
-			case in.IsScalar:
-				stack[sp] = fuseSlot{s: in.S}
-			case in.D != nil:
-				stack[sp] = fuseSlot{vec: in.D.data[lo:hi]}
-			default:
-				dst := ctx.scratch[sp][:n]
-				csrLoadRange(in.C, dst, lo, cols)
-				stack[sp] = fuseSlot{vec: dst}
-			}
-			sp++
-		case FuseAdd, FuseSub, FuseMul, FuseDiv, FusePow:
-			b := stack[sp-1]
-			a := stack[sp-2]
-			sp -= 2
-			if a.vec == nil && b.vec == nil {
-				stack[sp] = fuseSlot{s: fuseScalarBin(op.Code, a.s, b.s)}
-			} else {
-				dst := ctx.scratch[sp][:n]
-				fuseBinInto(op.Code, dst, a, b)
-				stack[sp] = fuseSlot{vec: dst}
-			}
-			sp++
-		default: // unary
-			a := stack[sp-1]
-			if a.vec == nil {
-				stack[sp-1] = fuseSlot{s: fuseScalarUn(op.Code, a.s)}
-			} else {
-				dst := ctx.scratch[sp-1][:n]
-				fuseUnInto(op.Code, dst, a.vec)
-				stack[sp-1] = fuseSlot{vec: dst}
-			}
-		}
-	}
-	return stack[0]
 }
 
 // csrLoadRange decompresses the flat range [lo, lo+len(dst)) of a CSR
 // matrix into dst: one memset plus an O(nnz-in-range) scatter, so the zero
 // runs between stored entries cost a clear rather than per-element work.
+//
 //dmml:noalloc
 func csrLoadRange(c *CSR, dst []float64, lo, cols int) {
 	for i := range dst {
@@ -325,46 +264,37 @@ func FusedCell(p *FuseProgram, ins []FusedInput, rows, cols int) *Dense {
 
 // FusedCellInto evaluates the program elementwise into out (overwriting it)
 // and returns out. The whole expression tree runs as one pass: each tile of
-// the output is produced by interpreting the micro-ops over stack scratch,
-// with the final operation writing straight into out's storage. Large
-// outputs split their tile sweep across the worker pool; the serial regime
-// allocates nothing.
+// the output is produced by the program's compiled kernel, with the root
+// node writing straight into out's storage. Large outputs split their tile
+// sweep across the worker pool; the serial regime allocates nothing.
 func FusedCellInto(out *Dense, p *FuseProgram, ins []FusedInput) *Dense {
 	rows, cols := out.rows, out.cols
 	fusedCheckInputs(p, ins, rows, cols)
 	k, sv := p.prepare(ins)
-	t := mFusedCellTimer
-	if k != nil {
-		t = mFusedCellCTimer
-		if k.flatCell != nil {
-			mFusedFlat.Inc()
-		}
+	if k.flatCell != nil {
+		mFusedFlat.Inc()
 	}
-	sw := t.Start()
+	sw := mFusedCellTimer.Start()
 	defer sw.Stop()
 	mFusedCellCalls.Inc()
 	total := rows * cols
 	mFlops.Add(int64(p.arith) * int64(total))
 	work := total * (p.arith + 1)
 	if work < parallelThreshold || pool.SerialNow() {
-		fusedCellRange(p, k, ins, sv, out.data, cols, 0, total)
+		fusedCellRange(k, ins, sv, out.data, cols, 0, total)
 	} else {
 		nt := (total + fusedTileW - 1) / fusedTileW
 		pool.Do(nt, pool.Grain(nt, fusedTileW*(p.arith+1)), func(_, t0, t1 int) {
-			hi := t1 * fusedTileW
-			if hi > total {
-				hi = total
-			}
-			fusedCellRange(p, k, ins, sv, out.data, cols, t0*fusedTileW, hi)
+			fusedCellRange(k, ins, sv, out.data, cols, t0*fusedTileW, min(t1*fusedTileW, total))
 		})
 	}
 	p.release(sv)
 	return out
 }
 
-func fusedCellRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv, dstAll []float64, cols, lo, hi int) {
-	if k != nil && k.flatCell != nil {
-		// Fully specialized template: one pass, no closure chain, no stack
+func fusedCellRange(k *fusedKernel, ins []FusedInput, sv, dstAll []float64, cols, lo, hi int) {
+	if k.flatCell != nil {
+		// Fully specialized template: one pass, no closure chain, no slot
 		// scratch — only the tile-wide buffer the sigmoid templates stage
 		// their affine argument in.
 		scr := pool.GetF64(fusedTileW)
@@ -372,36 +302,18 @@ func fusedCellRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv, dstAll
 		pool.PutF64(scr)
 		return
 	}
-	ctx := getFuseCtx(p.depth)
-	ctx.ins, ctx.sv, ctx.cols = ins, sv, cols
+	ctx := getFuseCtx(k.depth, ins, sv, cols)
 	for at := lo; at < hi; at += fusedTileW {
 		end := min(at+fusedTileW, hi)
 		dst := dstAll[at:end]
-		// Bind stack position 0 to the output tile: the final op of the
-		// program lands its vector there, so no copy-out pass is needed.
+		// Bind slot 0 to the output tile: the root node lands its vector
+		// there, so no copy-out pass is needed.
 		ctx.scratch[0] = dst
-		res := fuseEvalTile(p, k, ctx, ins, cols, at, end)
-		switch {
-		case res.vec == nil:
-			for i := range dst {
-				dst[i] = res.s
-			}
-		case &res.vec[0] != &dst[0]:
-			copy(dst, res.vec) // pure-load program: result aliases an input
+		if res := k.root(ctx, at, end); &res[0] != &dst[0] {
+			copy(dst, res) // pure-load program: result aliases a dense input
 		}
 	}
 	putFuseCtx(ctx)
-}
-
-// fuseEvalTile produces the program's value over [lo,hi): one direct call
-// into the compiled closure tree when a kernel is bound, else a trip
-// through the micro-op interpreter. Compiled kernels always produce a
-// vector (scalar-rooted programs are refused at compile time).
-func fuseEvalTile(p *FuseProgram, k *fusedKernel, ctx *fuseCtx, ins []FusedInput, cols, lo, hi int) fuseSlot {
-	if k != nil {
-		return fuseSlot{vec: k.root(ctx, lo, hi)}
-	}
-	return p.evalTile(ctx, ins, cols, lo, hi)
 }
 
 // zeroAnnihilatingCSR reports whether the program has exactly one matrix
@@ -457,7 +369,7 @@ func FusedSum(p *FuseProgram, ins []FusedInput, rows, cols int) float64 {
 		// Re-point the sparse input at a flat dense view of its stored
 		// values: the program runs over nnz elements instead of rows·cols,
 		// and the skipped zero cells contribute exactly 0 to the sum. The
-		// rewrite happens before kernel selection, so the compiled backend
+		// rewrite happens before kernel selection, so the kernel
 		// specializes for the dense shadow and still gets the skip.
 		c := ins[matIdx].C
 		if c.NNZ() == 0 {
@@ -470,20 +382,16 @@ func FusedSum(p *FuseProgram, ins []FusedInput, rows, cols int) float64 {
 		ins, cols, total = shadow, c.NNZ(), c.NNZ()
 	}
 	k, sv := p.prepare(ins)
-	t := mFusedAggTimer
-	if k != nil {
-		t = mFusedAggCTimer
-		if k.flatSum != nil {
-			mFusedFlat.Inc()
-		}
+	if k.flatSum != nil {
+		mFusedFlat.Inc()
 	}
-	sw := t.Start()
+	sw := mFusedAggTimer.Start()
 	defer sw.Stop()
 	mFusedAggCalls.Inc()
 	mFlops.Add(int64(p.arith+1) * int64(total))
 	work := total * (p.arith + 1)
 	if work < parallelThreshold || pool.SerialNow() {
-		s := fusedSumRange(p, k, ins, sv, cols, 0, total)
+		s := fusedSumRange(k, ins, sv, cols, 0, total)
 		p.release(sv)
 		return s
 	}
@@ -491,11 +399,7 @@ func FusedSum(p *FuseProgram, ins []FusedInput, rows, cols int) float64 {
 	partials := pool.GetF64Zeroed(pool.Workers() * 8)
 	nt := (total + fusedTileW - 1) / fusedTileW
 	pool.Do(nt, pool.Grain(nt, fusedTileW*(p.arith+1)), func(slot, t0, t1 int) {
-		hi := t1 * fusedTileW
-		if hi > total {
-			hi = total
-		}
-		partials[slot*8] += fusedSumRange(p, k, ins, sv, cols, t0*fusedTileW, hi)
+		partials[slot*8] += fusedSumRange(k, ins, sv, cols, t0*fusedTileW, min(t1*fusedTileW, total))
 	})
 	var s float64
 	for i := 0; i < len(partials); i += 8 {
@@ -506,21 +410,14 @@ func FusedSum(p *FuseProgram, ins []FusedInput, rows, cols int) float64 {
 	return s
 }
 
-func fusedSumRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv []float64, cols, lo, hi int) float64 {
-	if k != nil && k.flatSum != nil {
+func fusedSumRange(k *fusedKernel, ins []FusedInput, sv []float64, cols, lo, hi int) float64 {
+	if k.flatSum != nil {
 		return k.flatSum(ins, sv, lo, hi)
 	}
-	ctx := getFuseCtx(p.depth)
-	ctx.ins, ctx.sv, ctx.cols = ins, sv, cols
+	ctx := getFuseCtx(k.depth, ins, sv, cols)
 	var s float64
 	for at := lo; at < hi; at += fusedTileW {
-		end := min(at+fusedTileW, hi)
-		res := fuseEvalTile(p, k, ctx, ins, cols, at, end)
-		if res.vec == nil {
-			s += res.s * float64(end-at)
-		} else {
-			s += fuseSumVec(res.vec)
-		}
+		s += fuseSumVec(k.root(ctx, at, min(at+fusedTileW, hi)))
 	}
 	putFuseCtx(ctx)
 	return s
@@ -548,23 +445,19 @@ func fusedRowVec(dst []float64, p *FuseProgram, ins []FusedInput, rows, cols int
 		panic(fmt.Sprintf("la: fused row aggregate dst len %d for %d rows", len(dst), rows))
 	}
 	k, sv := p.prepare(ins)
-	t := mFusedAggTimer
-	if k != nil {
-		t = mFusedAggCTimer
-		if k.flatRow != nil {
-			mFusedFlat.Inc()
-		}
+	if k.flatRow != nil {
+		mFusedFlat.Inc()
 	}
-	sw := t.Start()
+	sw := mFusedAggTimer.Start()
 	defer sw.Stop()
 	mFusedAggCalls.Inc()
 	mFlops.Add(int64(p.arith+1) * int64(rows) * int64(cols))
 	work := rows * cols * (p.arith + 1)
 	if work < parallelThreshold || rows < 2 || pool.SerialNow() {
-		fusedRowVecRange(p, k, ins, sv, cols, v, dst, 0, rows)
+		fusedRowVecRange(k, ins, sv, cols, v, dst, 0, rows)
 	} else {
 		pool.Do(rows, pool.Grain(rows, cols*(p.arith+1)), func(_, r0, r1 int) {
-			fusedRowVecRange(p, k, ins, sv, cols, v, dst, r0, r1)
+			fusedRowVecRange(k, ins, sv, cols, v, dst, r0, r1)
 		})
 	}
 	p.release(sv)
@@ -572,39 +465,25 @@ func fusedRowVec(dst []float64, p *FuseProgram, ins []FusedInput, rows, cols int
 }
 
 // fusedRowVecRange fills dst[r0:r1) with per-row sums (v == nil) or row·v
-// dot products. Narrow matrices batch several rows per interpreted tile so
-// dispatch overhead amortizes; wide rows chunk along columns instead.
-func fusedRowVecRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv []float64, cols int, v, dst []float64, r0, r1 int) {
-	if k != nil && k.flatRow != nil {
+// dot products. Narrow matrices batch several rows per kernel tile so the
+// call chain amortizes; wide rows chunk along columns instead.
+func fusedRowVecRange(k *fusedKernel, ins []FusedInput, sv []float64, cols int, v, dst []float64, r0, r1 int) {
+	if k.flatRow != nil {
 		k.flatRow(ins, sv, v, dst, cols, r0, r1)
 		return
 	}
-	ctx := getFuseCtx(p.depth)
-	ctx.ins, ctx.sv, ctx.cols = ins, sv, cols
+	ctx := getFuseCtx(k.depth, ins, sv, cols)
 	if cols <= fusedTileW {
 		rowsPerTile := fusedTileW / cols
-		if rowsPerTile < 1 {
-			rowsPerTile = 1
-		}
 		for r := r0; r < r1; r += rowsPerTile {
 			rEnd := min(r+rowsPerTile, r1)
-			res := fuseEvalTile(p, k, ctx, ins, cols, r*cols, rEnd*cols)
-			if res.vec == nil {
-				base := res.s * float64(cols)
-				if v != nil {
-					base = res.s * fuseSumVec(v)
-				}
-				for i := r; i < rEnd; i++ {
-					dst[i] = base
-				}
-			} else {
-				for i := r; i < rEnd; i++ {
-					seg := res.vec[(i-r)*cols : (i-r+1)*cols]
-					if v == nil {
-						dst[i] = fuseSumVec(seg)
-					} else {
-						dst[i] = Dot(seg, v)
-					}
+			tile := k.root(ctx, r*cols, rEnd*cols)
+			for i := r; i < rEnd; i++ {
+				seg := tile[(i-r)*cols : (i-r+1)*cols]
+				if v == nil {
+					dst[i] = fuseSumVec(seg)
+				} else {
+					dst[i] = Dot(seg, v)
 				}
 			}
 		}
@@ -613,16 +492,11 @@ func fusedRowVecRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv []flo
 			var s float64
 			for c0 := 0; c0 < cols; c0 += fusedTileW {
 				c1 := min(c0+fusedTileW, cols)
-				res := fuseEvalTile(p, k, ctx, ins, cols, i*cols+c0, i*cols+c1)
-				switch {
-				case res.vec == nil && v == nil:
-					s += res.s * float64(c1-c0)
-				case res.vec == nil:
-					s += res.s * fuseSumVec(v[c0:c1])
-				case v == nil:
-					s += fuseSumVec(res.vec)
-				default:
-					s += Dot(res.vec, v[c0:c1])
+				tile := k.root(ctx, i*cols+c0, i*cols+c1)
+				if v == nil {
+					s += fuseSumVec(tile)
+				} else {
+					s += Dot(tile, v[c0:c1])
 				}
 			}
 			dst[i] = s
@@ -640,11 +514,7 @@ func FusedColSumsInto(dst []float64, p *FuseProgram, ins []FusedInput, rows, col
 		panic(fmt.Sprintf("la: FusedColSumsInto dst len %d for %d cols", len(dst), cols))
 	}
 	k, sv := p.prepare(ins)
-	t := mFusedAggTimer
-	if k != nil {
-		t = mFusedAggCTimer
-	}
-	sw := t.Start()
+	sw := mFusedAggTimer.Start()
 	defer sw.Stop()
 	mFusedAggCalls.Inc()
 	mFlops.Add(int64(p.arith+1) * int64(rows) * int64(cols))
@@ -653,7 +523,7 @@ func FusedColSumsInto(dst []float64, p *FuseProgram, ins []FusedInput, rows, col
 	}
 	work := rows * cols * (p.arith + 1)
 	if work < parallelThreshold || rows < 2 || pool.SerialNow() {
-		fusedColSumsRange(p, k, ins, sv, cols, dst, 0, rows)
+		fusedColSumsRange(k, ins, sv, cols, dst, 0, rows)
 		p.release(sv)
 		return dst
 	}
@@ -665,7 +535,7 @@ func FusedColSumsInto(dst []float64, p *FuseProgram, ins []FusedInput, rows, col
 			acc = pool.GetF64Zeroed(cols)
 			partials[slot] = acc
 		}
-		fusedColSumsRange(p, k, ins, sv, cols, acc, r0, r1)
+		fusedColSumsRange(k, ins, sv, cols, acc, r0, r1)
 	})
 	for _, part := range partials[1:] {
 		if part != nil {
@@ -677,40 +547,22 @@ func FusedColSumsInto(dst []float64, p *FuseProgram, ins []FusedInput, rows, col
 	return dst
 }
 
-func fusedColSumsRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv []float64, cols int, acc []float64, r0, r1 int) {
-	ctx := getFuseCtx(p.depth)
-	ctx.ins, ctx.sv, ctx.cols = ins, sv, cols
+func fusedColSumsRange(k *fusedKernel, ins []FusedInput, sv []float64, cols int, acc []float64, r0, r1 int) {
+	ctx := getFuseCtx(k.depth, ins, sv, cols)
 	if cols <= fusedTileW {
 		rowsPerTile := fusedTileW / cols
-		if rowsPerTile < 1 {
-			rowsPerTile = 1
-		}
 		for r := r0; r < r1; r += rowsPerTile {
 			rEnd := min(r+rowsPerTile, r1)
-			res := fuseEvalTile(p, k, ctx, ins, cols, r*cols, rEnd*cols)
-			if res.vec == nil {
-				add := res.s * float64(rEnd-r)
-				for j := range acc {
-					acc[j] += add
-				}
-			} else {
-				for i := 0; i < rEnd-r; i++ {
-					Axpy(1, res.vec[i*cols:(i+1)*cols], acc)
-				}
+			tile := k.root(ctx, r*cols, rEnd*cols)
+			for i := 0; i < rEnd-r; i++ {
+				Axpy(1, tile[i*cols:(i+1)*cols], acc)
 			}
 		}
 	} else {
 		for i := r0; i < r1; i++ {
 			for c0 := 0; c0 < cols; c0 += fusedTileW {
 				c1 := min(c0+fusedTileW, cols)
-				res := fuseEvalTile(p, k, ctx, ins, cols, i*cols+c0, i*cols+c1)
-				if res.vec == nil {
-					for j := c0; j < c1; j++ {
-						acc[j] += res.s
-					}
-				} else {
-					Axpy(1, res.vec, acc[c0:c1])
-				}
+				Axpy(1, k.root(ctx, i*cols+c0, i*cols+c1), acc[c0:c1])
 			}
 		}
 	}
@@ -718,6 +570,7 @@ func fusedColSumsRange(p *FuseProgram, k *fusedKernel, ins []FusedInput, sv []fl
 }
 
 // fuseSumVec sums a tile with a 4-way unrolled accumulator chain.
+//
 //dmml:noalloc
 func fuseSumVec(x []float64) float64 {
 	var s, s0, s1, s2, s3 float64
@@ -773,6 +626,7 @@ func fuseScalarUn(code FuseOpCode, a float64) float64 {
 
 // fuseSigmoid mirrors opt.Sigmoid's numerically stable form exactly so
 // fused and unfused evaluation agree bit for bit (la cannot import opt).
+//
 //dmml:noalloc
 func fuseSigmoid(m float64) float64 {
 	if m >= 0 {
@@ -783,11 +637,11 @@ func fuseSigmoid(m float64) float64 {
 }
 
 // Tile loop kernels. Each named function is one micro-op's inner loop over
-// a tile; the interpreter's fuseBinInto/fuseUnInto switches and the compiled
-// backend's closure constructors both dispatch to these, so the two
-// execution paths are bit-identical by construction. The hot vector-vector
-// and vector-scalar adds/subs/muls are 4-way unrolled like Dot; dst may
-// alias an operand (in-place update of the same stack position).
+// a tile; the compiled closure kernels and CellInto's unfused operators both
+// dispatch to these through the loop selectors (fusedc.go), so a fused and
+// an unfused operator agree bit for bit. The hot vector-vector and
+// vector-scalar adds/subs/muls are 4-way unrolled like Dot; dst may alias an
+// operand (in-place update of the same stack slot).
 
 //dmml:noalloc
 func vvAdd(dst, x, y []float64) {
@@ -1004,73 +858,5 @@ func uSigmoid(dst, x []float64) {
 	x = x[:len(dst)]
 	for i := range dst {
 		dst[i] = fuseSigmoid(x[i])
-	}
-}
-
-// fuseBinInto applies a binary micro-op over a tile by dispatching to the
-// named loop kernels above.
-//dmml:noalloc
-func fuseBinInto(code FuseOpCode, dst []float64, a, b fuseSlot) {
-	switch {
-	case a.vec != nil && b.vec != nil:
-		switch code {
-		case FuseAdd:
-			vvAdd(dst, a.vec, b.vec)
-		case FuseSub:
-			vvSub(dst, a.vec, b.vec)
-		case FuseMul:
-			vvMul(dst, a.vec, b.vec)
-		case FuseDiv:
-			vvDiv(dst, a.vec, b.vec)
-		default: // FusePow
-			vvPow(dst, a.vec, b.vec)
-		}
-	case a.vec != nil:
-		switch code {
-		case FuseAdd:
-			vsAdd(dst, a.vec, b.s)
-		case FuseSub:
-			vsSub(dst, a.vec, b.s)
-		case FuseMul:
-			vsMul(dst, a.vec, b.s)
-		case FuseDiv:
-			vsDiv(dst, a.vec, b.s)
-		default: // FusePow
-			vsPow(dst, a.vec, b.s)
-		}
-	default: // scalar ∘ vector
-		switch code {
-		case FuseAdd:
-			svAdd(dst, a.s, b.vec)
-		case FuseSub:
-			svSub(dst, a.s, b.vec)
-		case FuseMul:
-			svMul(dst, a.s, b.vec)
-		case FuseDiv:
-			svDiv(dst, a.s, b.vec)
-		default: // FusePow
-			svPow(dst, a.s, b.vec)
-		}
-	}
-}
-
-// fuseUnInto applies a unary micro-op over a tile; dst may alias x.
-//dmml:noalloc
-func fuseUnInto(code FuseOpCode, dst, x []float64) {
-	switch code {
-	case FuseNeg:
-		uNeg(dst, x)
-	case FuseSq:
-		uSq(dst, x)
-	case FuseExp:
-		uExp(dst, x)
-	case FuseLog:
-		uLog(dst, x)
-	case FuseSqrt:
-		uSqrt(dst, x)
-	case FuseAbs:
-		uAbs(dst, x)
-	default: // FuseSigmoid
-		uSigmoid(dst, x)
 	}
 }

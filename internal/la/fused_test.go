@@ -1,9 +1,10 @@
 package la
 
-// Fused-pipeline properties: the tile-interpreted Cell and RowAgg templates
-// must agree with a naive op-by-op materializing reference, at GOMAXPROCS=1
-// and N, serial and forced-parallel, over dense, scalar, and CSR inputs —
-// and the Into variants must hold the engine's zero-allocation contract.
+// Fused-pipeline properties: the compiled Cell and RowAgg templates must
+// agree with a naive op-by-op materializing reference — bit for bit on
+// cells, to the reduction tolerance on aggregates — at GOMAXPROCS=1 and N,
+// serial and forced-parallel, over dense, scalar, and CSR inputs; and the
+// Into variants must hold the engine's zero-allocation contract.
 
 import (
 	"math"
@@ -15,7 +16,8 @@ import (
 )
 
 // refFused evaluates a fused program the way the unfused evaluator would:
-// one fully materialized rows·cols buffer per operation.
+// one fully materialized rows·cols buffer per operation, one scalar op per
+// element. It is the reference every compiled kernel must reproduce.
 func refFused(p *FuseProgram, ins []FusedInput, rows, cols int) []float64 {
 	n := rows * cols
 	type slot struct {
@@ -81,6 +83,26 @@ func refFused(p *FuseProgram, ins []FusedInput, rows, cols int) []float64 {
 		return out
 	}
 	return res.vec
+}
+
+// refSum sums a reference result the naive way.
+func refSum(ref []float64) float64 {
+	var s float64
+	for _, v := range ref {
+		s += v
+	}
+	return s
+}
+
+// refMatVec multiplies a rows×cols reference result by v the naive way.
+func refMatVec(ref []float64, rows, cols int, v []float64) []float64 {
+	out := make([]float64, rows)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			out[i] += ref[i*cols+j] * v[j]
+		}
+	}
+	return out
 }
 
 // genFusedCase builds a random valid program plus matching random inputs:
@@ -150,12 +172,12 @@ func closeSlices(a, b []float64, tol float64) bool {
 	return true
 }
 
-// TestFusedCellEquivalence: the tiled stack machine against the
-// materializing reference over random programs and input mixes, on both the
-// serial path and the forced-parallel pool path.
+// TestFusedCellEquivalence: the compiled closure/flat kernels against the
+// materializing reference over random programs and input mixes, bit for bit
+// (any two NaNs equal), on the forced-parallel pool path and at the default
+// parallel threshold.
 func TestFusedCellEquivalence(t *testing.T) {
 	oldThresh := parallelThreshold
-	parallelThreshold = 1
 	defer func() { parallelThreshold = oldThresh }()
 
 	r := rand.New(rand.NewSource(21))
@@ -166,24 +188,27 @@ func TestFusedCellEquivalence(t *testing.T) {
 		p, ins := genFusedCase(rr, rows, cols)
 		want := refFused(p, ins, rows, cols)
 		got := FusedCell(p, ins, rows, cols)
-		if !closeSlices(got.data, want, 1e-12*float64(p.arith+1)) {
-			t.Logf("cell mismatch at %dx%d, %d ops", rows, cols, len(p.ops))
+		if !bitsEqual(got.data, want) {
+			t.Logf("cell differs from reference at %dx%d, %d ops", rows, cols, len(p.ops))
 			return false
 		}
 		return true
 	}
-	eachProcs(func() {
-		if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: r}); err != nil {
-			t.Error(err)
-		}
-	})
+	for _, thresh := range []int{1, oldThresh} {
+		parallelThreshold = thresh
+		eachProcs(func() {
+			if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: r}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
 }
 
 // TestFusedAggEquivalence: every RowAgg reduction (sum, rowSums, colSums,
-// matrix-vector) against reductions of the materialized reference.
+// matrix-vector) against reductions of the materialized reference, on the
+// forced-parallel pool path and at the default parallel threshold.
 func TestFusedAggEquivalence(t *testing.T) {
 	oldThresh := parallelThreshold
-	parallelThreshold = 1
 	defer func() { parallelThreshold = oldThresh }()
 
 	r := rand.New(rand.NewSource(22))
@@ -195,10 +220,7 @@ func TestFusedAggEquivalence(t *testing.T) {
 		ref := refFused(p, ins, rows, cols)
 		tol := tolFor(rows*cols) * float64(p.arith+1)
 
-		var wantSum float64
-		for _, v := range ref {
-			wantSum += v
-		}
+		wantSum := refSum(ref)
 		if got := FusedSum(p, ins, rows, cols); math.Abs(got-wantSum) > tol {
 			t.Logf("sum mismatch at %dx%d: %g vs %g", rows, cols, got, wantSum)
 			return false
@@ -225,23 +247,21 @@ func TestFusedAggEquivalence(t *testing.T) {
 		for j := range v {
 			v[j] = rr.NormFloat64()
 		}
-		wantMV := make([]float64, rows)
-		for i := 0; i < rows; i++ {
-			for j := 0; j < cols; j++ {
-				wantMV[i] += ref[i*cols+j] * v[j]
-			}
-		}
+		wantMV := refMatVec(ref, rows, cols, v)
 		if got := FusedMatVecInto(make([]float64, rows), p, ins, rows, cols, v); !closeSlices(got, wantMV, tol*10) {
 			t.Logf("matvec mismatch at %dx%d", rows, cols)
 			return false
 		}
 		return true
 	}
-	eachProcs(func() {
-		if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: r}); err != nil {
-			t.Error(err)
-		}
-	})
+	for _, thresh := range []int{1, oldThresh} {
+		parallelThreshold = thresh
+		eachProcs(func() {
+			if err := quick.Check(prop, &quick.Config{MaxCount: 40, Rand: r}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
 }
 
 // TestFusedWideRows drives the cols > fusedTileW column-chunking path.
@@ -263,7 +283,7 @@ func TestFusedWideRows(t *testing.T) {
 	ins := []FusedInput{DenseInput(x)}
 	ref := refFused(p, ins, rows, cols)
 	tol := tolFor(cols)
-	if got := FusedCell(p, ins, rows, cols); !closeSlices(got.data, ref, 1e-12) {
+	if got := FusedCell(p, ins, rows, cols); !bitsEqual(got.data, ref) {
 		t.Error("wide cell mismatch")
 	}
 	wantRow := make([]float64, rows)
@@ -348,7 +368,7 @@ func TestFusedSparseFastPath(t *testing.T) {
 }
 
 // TestCompileFusedRejects: malformed programs fail compilation instead of
-// corrupting the interpreter stack.
+// reaching the kernel compiler.
 func TestCompileFusedRejects(t *testing.T) {
 	cases := []struct {
 		name string

@@ -1,12 +1,11 @@
 package la
 
-// BenchmarkFusedDispatch: the interpreter dispatch tax, measured. One
+// BenchmarkFusedDispatch: what each tier of the compiled kernels buys. One
 // fixed workload — the E15 6-op sigmoid chain sigmoid(x*2+1)*x - x/3 over
-// 200000×20 — evaluated by the tile interpreter, the compiled closure
-// tree, the flat template kernel, and a hand-written loop, all single-core
-// (pool forced serial via size-1 tiles staying under the parallel
-// threshold is not enough at this size, so GOMAXPROCS pins the comparison
-// instead). Run with -cpu=1:
+// 200000×20 — evaluated by the closure tree, the flat template kernel, and
+// hand-written loops, all single-core (pool forced serial via size-1 tiles
+// staying under the parallel threshold is not enough at this size, so
+// GOMAXPROCS pins the comparison instead). Run with -cpu=1:
 //
 //	go test -run '^$' -bench BenchmarkFusedDispatch -cpu=1 ./internal/la
 
@@ -33,29 +32,18 @@ func fusedDispatchSetup(b *testing.B) (*FuseProgram, []FusedInput, *Dense) {
 	return p, []FusedInput{DenseInput(x)}, NewDense(rows, cols)
 }
 
-func BenchmarkFusedDispatchInterp(b *testing.B) {
-	p, ins, out := fusedDispatchSetup(b)
-	p.SetBackend(FuseBackendInterp)
-	defer p.SetBackend(FuseBackendCompiled)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FusedCellInto(out, p, ins)
-	}
-}
-
 // Compiled closure tree, flat template suppressed: isolates the win from
 // killing per-op dispatch alone.
 func BenchmarkFusedDispatchClosures(b *testing.B) {
 	p, ins, out := fusedDispatchSetup(b)
 	k := p.kernelFor(ins)
-	if k == nil || k.flatCell == nil {
+	if k.flatCell == nil {
 		b.Fatal("expected a flat-compiled kernel to strip")
 	}
 	stripped := *k
 	stripped.flatCell = nil
 	stripped.flat = ""
-	sig, _ := fuseKindSig(ins)
-	m := map[uint64]*fusedKernel{sig: &stripped}
+	m := map[uint64]*fusedKernel{fuseKindSig(ins): &stripped}
 	p.kernels.Store(&m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,7 +54,7 @@ func BenchmarkFusedDispatchClosures(b *testing.B) {
 // The full compiled path as dispatched in production: flat template.
 func BenchmarkFusedDispatchCompiled(b *testing.B) {
 	p, ins, out := fusedDispatchSetup(b)
-	if _, flat := p.CompileFusedKernel(ins); flat != "cell.sigchain" {
+	if flat := p.kernelFor(ins).flat; flat != "cell.sigchain" {
 		b.Fatalf("flat = %q, want cell.sigchain", flat)
 	}
 	b.ResetTimer()

@@ -2,21 +2,22 @@ package la
 
 import "math"
 
-// Tile-vectorized sigmoid for the compiled fusion backend.
+// Tile-vectorized sigmoid for the compiled fused kernels and CellInto.
 //
-// The scalar interpreter path computes sigmoid via fuseSigmoid, whose cost
-// is one math.Exp call per element — on amd64 an assembly routine (SLEEF /
-// Shibata reduction) that the Go compiler cannot inline or pipeline across
-// loop iterations. The compiled backend replaces that loop with an 8-lane
-// software-pipelined port of the *same* algorithm, so eight exponentials are
-// in flight at once through the long FMA/divide dependency chains. Eight is
+// The scalar form, fuseSigmoid, costs one math.Exp call per element — on
+// amd64 an assembly routine (SLEEF / Shibata reduction) that the Go
+// compiler cannot inline or pipeline across loop iterations. sigmoidTile
+// replaces a loop of it with an 8-lane software-pipelined port of the
+// *same* algorithm, so eight exponentials are in flight at once through the
+// long FMA/divide dependency chains. Eight is
 // deliberate: the polynomial is a serial chain of ~4-cycle FMAs on hardware
 // that retires two FMAs per cycle, so fewer than eight independent chains
 // leave the FMA ports idle, and more than eight overflows the reorder
 // window (one 8-lane group is already ~240 uops).
 //
-// Bit-exactness is load-bearing, not best-effort: compiled≡interpreted is a
-// tested invariant, so the vector lanes must reproduce math.Exp exactly.
+// Bit-exactness is load-bearing, not best-effort: fused cells must match
+// the per-element scalar reference (and the unfused operators) bit for bit,
+// so the vector lanes must reproduce math.Exp exactly.
 // Two ports cover the two variants the assembly selects between at runtime:
 // exp8FMA uses math.FMA (exactly rounded everywhere, hardware or soft) and
 // matches the FMA path; exp8NoFMA uses plain ops and matches the pre-FMA
@@ -449,7 +450,7 @@ func sigLane(m, e float64) float64 {
 }
 
 // sigmoidTile applies the numerically stable sigmoid over a tile,
-// bit-identical to the interpreter's per-element fuseSigmoid loop. In-gate
+// bit-identical to a per-element fuseSigmoid loop (uSigmoid). In-gate
 // quads run through the certified 4-lane exponential; anything else —
 // probe failed, tiny or huge magnitudes, NaN/Inf, the tail — takes the
 // scalar path. dst may alias x.

@@ -3,7 +3,7 @@ package la
 import "math"
 
 // Flat template kernels: the second tier of the compiled fusion backend.
-// The closure tree already removes the interpreter's per-op dispatch, but a
+// The closure tree already evaluates a tile with no per-op dispatch, but a
 // matched template goes further — one loop, no calls, no stack scratch.
 // The matcher runs at compile time over the structural tree the lowering
 // builds alongside the closures (fkNode; nil under any CSR load, so flats
@@ -11,10 +11,11 @@ import "math"
 // real scripts: sigmoid chains, axpy-like cells, scaled binary cells, and
 // the rowagg-over-product family.
 //
-// Cell templates must be bit-identical to the interpreter: their loops
-// replicate the interpreted op sequence exactly, leaning only on identities
-// that hold bitwise (IEEE add/mul commute; x*1 ≡ x; a-b ≡ a+(-b); x+0 only
-// ever feeds sigmoid, where ±0 agree). Aggregate templates are covered by
+// Cell templates must be bit-identical to op-by-op evaluation (the closure
+// tree, the unfused operators): their loops replicate the program's op
+// sequence exactly, leaning only on identities that hold bitwise (IEEE
+// add/mul commute; x*1 ≡ x; a-b ≡ a+(-b); x+0 only ever feeds sigmoid,
+// where ±0 agree). Aggregate templates are covered by
 // the reduction tolerance the fused≡unfused property already grants
 // (relative 1e-8), so they reassociate freely with unrolled accumulators.
 
@@ -414,7 +415,7 @@ func matchFlatAggAdd(k *fusedKernel, n *fkNode) bool {
 // pass: the affine argument feeds the 4-lane exponential directly and the
 // chain tail consumes it without ever touching a staging buffer — x is
 // read once and dst written once per element. Bit-identical to the
-// interpreted op sequence. dst may alias x.
+// program's op sequence. dst may alias x.
 //
 //dmml:noalloc
 func flatSigChain(dst, scr, x []float64, a, b, c float64) {

@@ -30,20 +30,16 @@ var (
 	mFusedCellCalls   = metrics.NewCounter("la.fused.cell.calls")
 	mFusedAggCalls    = metrics.NewCounter("la.fused.rowagg.calls")
 	mFusedSparseSkips = metrics.NewCounter("la.fused.sparse.fastpaths")
-	mFusedCellTimer   = metrics.NewTimer("la.FusedCell")
-	mFusedAggTimer    = metrics.NewTimer("la.FusedRowAgg")
 
-	// Compiled-backend instruments (fusedc.go): the dispatch counters split
-	// every fused execution into compiled vs interpreted (with flat-template
-	// hits broken out), the compile timer prices the one-time lowering, and
-	// the compiled timers let `dmml -stats` show the two backends
-	// side by side.
+	// Compiled-kernel instruments (fusedc.go): the dispatch counters count
+	// every fused execution and the flat-template hits among them, the
+	// compile timer prices the one-time lowering, and the two template
+	// timers time the kernels themselves.
 	mFusedCompiled     = metrics.NewCounter("la.fused.dispatch.compiled")
-	mFusedInterp       = metrics.NewCounter("la.fused.dispatch.interp")
 	mFusedFlat         = metrics.NewCounter("la.fused.dispatch.flat")
 	mFusedCompileTimer = metrics.NewTimer("la.FusedCompile")
-	mFusedCellCTimer   = metrics.NewTimer("la.FusedCellCompiled")
-	mFusedAggCTimer    = metrics.NewTimer("la.FusedRowAggCompiled")
+	mFusedCellTimer    = metrics.NewTimer("la.FusedCellCompiled")
+	mFusedAggTimer     = metrics.NewTimer("la.FusedRowAggCompiled")
 
 	// Serving-path scoring: total rows scored through ScoreRowsInto /
 	// ScoreRow, so `dmmlserve -stats` can relate predictions to GEMV work.
