@@ -13,6 +13,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -21,6 +22,7 @@ import (
 	"dmml/internal/compress"
 	"dmml/internal/factorized"
 	"dmml/internal/la"
+	"dmml/internal/ooc"
 	"dmml/internal/opt"
 	"dmml/internal/storage"
 )
@@ -191,10 +193,11 @@ func TrainJoined(x *la.Dense, y []float64, task Task, o Options) (*Result, error
 	// actual value proposition.
 	compressSetup := 4 * float64(n) * float64(d)
 	addPlan("compressed+iterative", iters*matvecPair*1.05+compressSetup, comprBytes)
-	// Paged iterative: stream pages through a buffer pool sized to the
-	// budget. Sequential page I/O per iteration is modeled as cheaper than
-	// the random-access thrash the dense plan would suffer, so this is the
-	// fallback when the data neither fits nor compresses.
+	// Paged iterative: stream raw ooc pages through a buffer pool sized to
+	// the budget, one pass per loss-and-gradient evaluation. Sequential page
+	// I/O per iteration is modeled as cheaper than the random-access thrash
+	// the dense plan would suffer, so this is the fallback when the data
+	// neither fits nor compresses.
 	if o.MemBudgetBytes > 0 && denseBytes > o.MemBudgetBytes {
 		excess := float64(denseBytes-o.MemBudgetBytes) / float64(denseBytes)
 		ioCost := iters * matvecPair * excess * o.SpillPenalty * 0.5
@@ -230,7 +233,7 @@ func TrainJoined(x *la.Dense, y []float64, task Task, o Options) (*Result, error
 		w = res.W
 	case "compressed+iterative":
 		cm := compress.Compress(x, compress.Options{CoCode: true})
-		res, gerr := opt.GradientDescent(compressedData{cm}, y, task.lossFn(),
+		res, gerr := opt.GradientDescent(cm, y, task.lossFn(),
 			opt.GDConfig{Step: task.Step, L2: task.L2, MaxIter: task.MaxIter, Tol: 1e-9, Backtracking: true})
 		if gerr != nil {
 			return nil, gerr
@@ -247,21 +250,6 @@ func TrainJoined(x *la.Dense, y []float64, task Task, o Options) (*Result, error
 	loss, _ := opt.LossAndGradient(opt.DenseData{M: x}, y, w, task.lossFn(), 0)
 	return &Result{W: w, Plan: name, FinalLoss: loss, Explain: explained}, nil
 }
-
-// compressedData adapts a compressed matrix to opt.BulkData.
-type compressedData struct{ m *compress.Matrix }
-
-// Rows implements opt.BulkData.
-func (c compressedData) Rows() int { return c.m.Rows() }
-
-// Cols implements opt.BulkData.
-func (c compressedData) Cols() int { return c.m.Cols() }
-
-// MatVec implements opt.BulkData.
-func (c compressedData) MatVec(v []float64) []float64 { return c.m.MatVec(v) }
-
-// VecMat implements opt.BulkData.
-func (c compressedData) VecMat(x []float64) []float64 { return c.m.VecMat(x) }
 
 // TrainNormalized plans and trains over a normalized star schema, choosing
 // between factorized learning and materialize-then-train, and between the
@@ -376,59 +364,21 @@ func trainPaged(x *la.Dense, y []float64, task Task, o Options) ([]float64, erro
 		return nil, fmt.Errorf("core: paged plan: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	pool, err := storage.NewBufferPool(targetPoolPages, dir)
+	// A byte budget that holds targetPoolPages full pages (always ≥ 8 bytes).
+	bp, err := storage.NewBufferPoolBytes(targetPoolPages*int64(pageRows)*rowBytes, dir)
 	if err != nil {
 		return nil, fmt.Errorf("core: paged plan: %w", err)
 	}
-	pm, err := storage.NewPagedMatrix(pool, n, d, pageRows)
+	// Raw pages: this plan is the fallback for data that does not compress,
+	// and the cost model charges no encode pass.
+	xm, err := ooc.FromDense(bp, x, ooc.Options{BlockRows: pageRows, NoCompress: true})
 	if err != nil {
 		return nil, fmt.Errorf("core: paged plan: %w", err)
 	}
-	if err := pm.FromDense(x); err != nil {
-		return nil, fmt.Errorf("core: paged plan: %w", err)
-	}
-	pd := &pagedData{pm: pm, rows: n, cols: d}
-	res, err := opt.GradientDescent(pd, y, task.lossFn(),
+	res, err := opt.GradientDescent(xm, y, task.lossFn(),
 		opt.GDConfig{Step: task.Step, L2: task.L2, MaxIter: task.MaxIter, Tol: 1e-9, Backtracking: true})
-	if err != nil {
-		return nil, err
-	}
-	if pd.err != nil {
-		return nil, fmt.Errorf("core: paged plan I/O: %w", pd.err)
+	if err = errors.Join(err, xm.Drop()); err != nil {
+		return nil, fmt.Errorf("core: paged plan I/O: %w", err)
 	}
 	return res.W, nil
-}
-
-// pagedData adapts a PagedMatrix to opt.BulkData, capturing I/O errors for
-// the caller to surface after the optimizer returns.
-type pagedData struct {
-	pm         *storage.PagedMatrix
-	rows, cols int
-	err        error
-}
-
-// Rows implements opt.BulkData.
-func (p *pagedData) Rows() int { return p.rows }
-
-// Cols implements opt.BulkData.
-func (p *pagedData) Cols() int { return p.cols }
-
-// MatVec implements opt.BulkData.
-func (p *pagedData) MatVec(v []float64) []float64 {
-	out, err := p.pm.MatVec(v)
-	if err != nil {
-		p.err = err
-		return make([]float64, p.rows)
-	}
-	return out
-}
-
-// VecMat implements opt.BulkData.
-func (p *pagedData) VecMat(x []float64) []float64 {
-	out, err := p.pm.VecMat(x)
-	if err != nil {
-		p.err = err
-		return make([]float64, p.cols)
-	}
-	return out
 }

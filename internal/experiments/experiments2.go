@@ -9,6 +9,7 @@ import (
 	"dmml/internal/featureng"
 	"dmml/internal/la"
 	"dmml/internal/modelsel"
+	"dmml/internal/ooc"
 	"dmml/internal/opt"
 	"dmml/internal/paramserver"
 	"dmml/internal/storage"
@@ -255,6 +256,8 @@ func E9ParamServer(quick bool) (Table, error) {
 
 // E11BufferPool reproduces the out-of-core shape: iterative access through a
 // shrinking buffer pool degrades gracefully until the working set thrashes.
+// The matrix is an ooc.Matrix of raw (uncompressed) row-block pages, so the
+// counts isolate the pool from the CLA encoding E17 measures.
 func E11BufferPool(quick bool) (Table, error) {
 	t := Table{
 		ID:     "E11",
@@ -272,32 +275,34 @@ func E11BufferPool(quick bool) (Table, error) {
 		v[i] = r.NormFloat64()
 	}
 	passes := 5
+	out := make([]float64, rows)
 	for _, capacity := range []int{64, 16, 4} {
-		bp, err := storage.NewBufferPool(capacity, tmpDir())
+		bp, err := storage.NewBufferPoolBytes(int64(capacity*pageRows*cols*8), tmpDir())
 		if err != nil {
 			return t, err
 		}
-		pm, err := storage.NewPagedMatrix(bp, rows, cols, pageRows)
+		m, err := ooc.FromDense(bp, x, ooc.Options{BlockRows: pageRows, NoCompress: true})
 		if err != nil {
-			return t, err
-		}
-		if err := pm.FromDense(x); err != nil {
 			return t, err
 		}
 		bp.ResetStats()
 		start := time.Now()
 		for p := 0; p < passes; p++ {
-			if _, err := pm.MatVec(v); err != nil {
+			err := m.ForEachBlock(func(b opt.RowBlock) error {
+				b.MatVecInto(out[b.StartRow():b.StartRow()+b.Rows()], v)
+				return nil
+			})
+			if err != nil {
 				return t, err
 			}
 		}
 		elapsed := time.Since(start)
 		st := bp.Stats()
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(capacity), fmt.Sprint(pm.NumPages()), d(elapsed),
+			fmt.Sprint(capacity), fmt.Sprint(m.NumBlocks()), d(elapsed),
 			fmt.Sprint(st.Hits), fmt.Sprint(st.Misses), fmt.Sprint(st.SpillReads),
 		})
-		if err := pm.Drop(); err != nil {
+		if err := m.Drop(); err != nil {
 			return t, err
 		}
 	}

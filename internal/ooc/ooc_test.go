@@ -1,10 +1,12 @@
 package ooc
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"dmml/internal/la"
@@ -37,9 +39,19 @@ func newPool(t *testing.T, budget int64) *storage.BufferPool {
 func TestFromDenseRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	src := testMatrix(r, 1000, 6)
-	for _, opts := range []Options{{BlockRows: 128}, {BlockRows: 128, NoCompress: true}, {BlockRows: 333}} {
-		bp := newPool(t, 1<<20)
-		m, err := FromDense(bp, src, opts)
+	for _, tc := range []struct {
+		opts   Options
+		budget int64
+	}{
+		{Options{BlockRows: 128}, 1 << 20},
+		{Options{BlockRows: 128, NoCompress: true}, 1 << 20},
+		{Options{BlockRows: 333}, 1 << 20},
+		// Raw pages through a pool a quarter the size of the 48000-byte
+		// matrix: the round trip must read spilled pages back.
+		{Options{BlockRows: 128, NoCompress: true}, 12 * 1024},
+	} {
+		bp := newPool(t, tc.budget)
+		m, err := FromDense(bp, src, tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +63,10 @@ func TestFromDenseRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !back.Equal(src, 0) {
-			t.Fatalf("opts %+v: round trip mismatch", opts)
+			t.Fatalf("opts %+v budget %d: round trip mismatch", tc.opts, tc.budget)
+		}
+		if m.PagedBytes() > tc.budget && bp.Stats().SpillReads == 0 {
+			t.Fatalf("opts %+v budget %d: %d paged bytes read back without a spill read", tc.opts, tc.budget, m.PagedBytes())
 		}
 		if err := m.Drop(); err != nil {
 			t.Fatal(err)
@@ -59,60 +74,70 @@ func TestFromDenseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOpsMatchDense checks every streaming op against the dense kernels for
+// both page layouts, with a budget far below the matrix so raw pages spill.
 func TestOpsMatchDense(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	src := testMatrix(r, 900, 5)
-	// Budget far below the matrix size so ops must stream through spill.
-	bp := newPool(t, 8*1024)
-	m, err := FromDense(bp, src, Options{BlockRows: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.CompressedBlocks() == 0 {
-		t.Fatal("no block compressed; test data should be compressible")
-	}
-	for _, prefetch := range []bool{false, true} {
-		m.SetPrefetch(prefetch)
-		v := make([]float64, 5)
-		x := make([]float64, 900)
-		for i := range v {
-			v[i] = r.NormFloat64()
-		}
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		mv, wantMV := m.MatVec(v), la.MatVec(src, v)
-		for i := range mv {
-			if math.Abs(mv[i]-wantMV[i]) > 1e-9 {
-				t.Fatalf("prefetch=%v MatVec[%d] = %v, want %v", prefetch, i, mv[i], wantMV[i])
-			}
-		}
-		vm, wantVM := m.VecMat(x), la.VecMat(x, src)
-		for j := range vm {
-			if math.Abs(vm[j]-wantVM[j]) > 1e-9 {
-				t.Fatalf("prefetch=%v VecMat[%d] = %v, want %v", prefetch, j, vm[j], wantVM[j])
-			}
-		}
-		g, err := m.Gram()
+	const budget = 8 * 1024
+	for _, layout := range []string{"cla", "raw"} {
+		bp := newPool(t, budget)
+		m, err := FromDense(bp, src, Options{BlockRows: 100, NoCompress: layout == "raw"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantG := la.Gram(src)
-		if !g.Equal(wantG, 1e-9) {
-			t.Fatalf("prefetch=%v Gram mismatch", prefetch)
+		if layout == "cla" && m.CompressedBlocks() == 0 {
+			t.Fatal("no block compressed; test data should be compressible")
 		}
-		cs, err := m.ColSums()
-		if err != nil {
-			t.Fatal(err)
+		if layout == "raw" && m.CompressedBlocks() != 0 {
+			t.Fatalf("raw layout kept %d compressed blocks", m.CompressedBlocks())
 		}
-		for j := 0; j < 5; j++ {
-			want := 0.0
-			for i := 0; i < 900; i++ {
-				want += src.At(i, j)
+		for _, prefetch := range []bool{false, true} {
+			m.SetPrefetch(prefetch)
+			v := make([]float64, 5)
+			x := make([]float64, 900)
+			for i := range v {
+				v[i] = r.NormFloat64()
 			}
-			if math.Abs(cs[j]-want) > 1e-9 {
-				t.Fatalf("ColSums[%d] = %v, want %v", j, cs[j], want)
+			for i := range x {
+				x[i] = r.NormFloat64()
 			}
+			mv, wantMV := m.MatVec(v), la.MatVec(src, v)
+			for i := range mv {
+				if math.Abs(mv[i]-wantMV[i]) > 1e-9 {
+					t.Fatalf("%s prefetch=%v MatVec[%d] = %v, want %v", layout, prefetch, i, mv[i], wantMV[i])
+				}
+			}
+			vm, wantVM := m.VecMat(x), la.VecMat(x, src)
+			for j := range vm {
+				if math.Abs(vm[j]-wantVM[j]) > 1e-9 {
+					t.Fatalf("%s prefetch=%v VecMat[%d] = %v, want %v", layout, prefetch, j, vm[j], wantVM[j])
+				}
+			}
+			g, err := m.Gram()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantG := la.Gram(src)
+			if !g.Equal(wantG, 1e-9) {
+				t.Fatalf("%s prefetch=%v Gram mismatch", layout, prefetch)
+			}
+			cs, err := m.ColSums()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < 5; j++ {
+				want := 0.0
+				for i := 0; i < 900; i++ {
+					want += src.At(i, j)
+				}
+				if math.Abs(cs[j]-want) > 1e-9 {
+					t.Fatalf("%s ColSums[%d] = %v, want %v", layout, j, cs[j], want)
+				}
+			}
+		}
+		if m.PagedBytes() > budget && bp.Stats().SpillReads == 0 {
+			t.Fatalf("%s: %d paged bytes streamed through a %d-byte pool without a spill read", layout, m.PagedBytes(), budget)
 		}
 	}
 }
@@ -122,8 +147,8 @@ func TestOpsMatchDense(t *testing.T) {
 // matter how many passes run, with or without prefetch.
 func TestBoundedResidency(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	src := testMatrix(r, 4000, 8)       // 256 KB dense
-	const budget = int64(32 * 1024)     // 8x smaller than the data
+	src := testMatrix(r, 4000, 8)   // 256 KB dense
+	const budget = int64(32 * 1024) // 8x smaller than the data
 	bp := newPool(t, budget)
 	m, err := FromDense(bp, src, Options{BlockRows: 250})
 	if err != nil {
@@ -280,6 +305,49 @@ func TestSolverEquivalence(t *testing.T) {
 			if math.Abs(got.W[j]-want.W[j]) > 1e-8 {
 				t.Fatalf("prefetch=%v w[%d] = %v, want %v", prefetch, j, got.W[j], want.W[j])
 			}
+		}
+	}
+}
+
+// TestGradientDescentSpillReadFailure: a spill page that cannot be read back
+// mid-training ends GradientDescent with that error, and every pin is
+// released on the way out, with or without prefetch.
+func TestGradientDescentSpillReadFailure(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	n, d := 1200, 6
+	src := testMatrix(r, n, d)
+	y := make([]float64, n)
+	for i := range y {
+		y[i] = float64(2*r.Intn(2) - 1)
+	}
+	injected := errors.New("spill page unreadable")
+	cfg := opt.GDConfig{Step: 0.1, MaxIter: 15, L2: 0.01}
+	for _, prefetch := range []bool{false, true} {
+		// Two 6144-byte raw blocks fit (prefetch pins two at once); the
+		// 57600-byte matrix does not.
+		bp := newPool(t, 16*1024)
+		m, err := FromDense(bp, src, Options{BlockRows: 128, NoCompress: true, Prefetch: prefetch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Let some reads through so the failure lands after blocks of the
+		// same pass have been pinned and released.
+		var reads atomic.Int64
+		bp.SetFailureHooks(func(storage.PageID) error {
+			if reads.Add(1) > 12 {
+				return injected
+			}
+			return nil
+		}, nil)
+		res, err := opt.GradientDescent(m, y, opt.Logistic{}, cfg)
+		if !errors.Is(err, injected) {
+			t.Fatalf("prefetch=%v err = %v, want the injected read failure", prefetch, err)
+		}
+		if res != nil {
+			t.Fatalf("prefetch=%v got a result alongside the error", prefetch)
+		}
+		if err := m.Drop(); err != nil {
+			t.Fatalf("prefetch=%v pins leaked after the failed run: %v", prefetch, err)
 		}
 	}
 }

@@ -8,8 +8,9 @@ import (
 )
 
 // BulkData abstracts the bulk linear-algebra access pattern needed by batch
-// gradient descent: X·v and xᵀ·X. la.Dense, la.CSR, compressed matrices and
-// factorized joins all satisfy it through thin adapters.
+// gradient descent: X·v and xᵀ·X. Compressed matrices, factorized joins and
+// out-of-core matrices satisfy it directly; la.Dense and la.CSR through
+// DenseData and CSRData.
 type BulkData interface {
 	Rows() int
 	Cols() int
@@ -83,16 +84,22 @@ func LossAndGradient(data BulkData, y, w []float64, loss Loss, l2 float64) (floa
 	grad := make([]float64, data.Cols())
 	margins := pool.GetF64(data.Rows())
 	derivs := pool.GetF64(data.Rows())
-	v := lossAndGradientInto(data, y, w, loss, l2, margins, derivs, grad)
+	v, err := lossAndGradientInto(data, y, w, loss, l2, margins, derivs, grad)
 	pool.PutF64(margins)
 	pool.PutF64(derivs)
+	if err != nil {
+		// LossAndGradient has no error result; a block source failing
+		// mid-pass means its backing storage is gone, which is fatal here.
+		panic(fmt.Sprintf("opt: block stream failed: %v", err))
+	}
 	return v, grad
 }
 
 // lossAndGradientInto is LossAndGradient with caller-owned buffers: margins
 // and derivs have length Rows, grad length Cols. When data implements
-// BulkDataInto the whole evaluation is allocation-free.
-func lossAndGradientInto(data BulkData, y, w []float64, loss Loss, l2 float64, margins, derivs, grad []float64) float64 {
+// BulkDataInto the whole evaluation is allocation-free. The error is non-nil
+// only when a BlockData source fails to deliver a block.
+func lossAndGradientInto(data BulkData, y, w []float64, loss Loss, l2 float64, margins, derivs, grad []float64) (float64, error) {
 	n := data.Rows()
 	if len(y) != n {
 		panic(fmt.Sprintf("opt: %d labels for %d rows", len(y), n))
@@ -122,7 +129,7 @@ func lossAndGradientInto(data BulkData, y, w []float64, loss Loss, l2 float64, m
 	for j := range grad {
 		grad[j] = grad[j]*invN + l2*w[j]
 	}
-	return total*invN + 0.5*l2*la.Dot(w, w)
+	return total*invN + 0.5*l2*la.Dot(w, w), nil
 }
 
 // GDConfig configures full-batch gradient descent.
@@ -144,7 +151,8 @@ type GDResult struct {
 }
 
 // GradientDescent minimizes the regularized empirical risk by full-batch
-// gradient descent.
+// gradient descent. A BlockData source that fails mid-pass (e.g. a spill page
+// that cannot be read back) ends the run with that error.
 func GradientDescent(data BulkData, y []float64, loss Loss, cfg GDConfig) (*GDResult, error) {
 	if cfg.Step <= 0 {
 		return nil, fmt.Errorf("opt: GD step must be > 0, got %v", cfg.Step)
@@ -178,7 +186,10 @@ func GradientDescent(data BulkData, y []float64, loss Loss, cfg GDConfig) (*GDRe
 	defer pool.PutF64(derivs)
 	res := &GDResult{}
 	step := cfg.Step
-	prev := lossAndGradientInto(data, y, w, loss, cfg.L2, margins, derivs, grad)
+	prev, err := lossAndGradientInto(data, y, w, loss, cfg.L2, margins, derivs, grad)
+	if err != nil {
+		return nil, err
+	}
 	for it := 0; it < cfg.MaxIter; it++ {
 		epochSW := mGDEpochTimer.Start()
 		mGDEpochs.Inc()
@@ -186,14 +197,16 @@ func GradientDescent(data BulkData, y []float64, loss Loss, cfg GDConfig) (*GDRe
 		res.History = append(res.History, prev)
 		copy(cand, w)
 		la.Axpy(-step, grad, cand)
-		cur := lossAndGradientInto(data, y, cand, loss, cfg.L2, margins, derivs, candGrad)
-		if cfg.Backtracking {
-			for cur > prev && step > 1e-12 {
-				step /= 2
-				copy(cand, w)
-				la.Axpy(-step, grad, cand)
-				cur = lossAndGradientInto(data, y, cand, loss, cfg.L2, margins, derivs, candGrad)
-			}
+		cur, err := lossAndGradientInto(data, y, cand, loss, cfg.L2, margins, derivs, candGrad)
+		for err == nil && cfg.Backtracking && cur > prev && step > 1e-12 {
+			step /= 2
+			copy(cand, w)
+			la.Axpy(-step, grad, cand)
+			cur, err = lossAndGradientInto(data, y, cand, loss, cfg.L2, margins, derivs, candGrad)
+		}
+		if err != nil {
+			epochSW.Stop()
+			return nil, err
 		}
 		w, cand = cand, w
 		grad, candGrad = candGrad, grad

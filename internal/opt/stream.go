@@ -42,8 +42,9 @@ type BlockData interface {
 // one pass over the blocks computing margins, pointwise derivatives, and the
 // gradient accumulation per block. A single pass suffices because the loss
 // derivative at row i depends only on that row's margin — the block's
-// contribution to the gradient is complete the moment its margins are.
-func lossAndGradientStream(data BlockData, y, w []float64, loss Loss, l2 float64, margins, derivs, grad []float64) float64 {
+// contribution to the gradient is complete the moment its margins are. A
+// failing block stream returns its error; the outputs are then undefined.
+func lossAndGradientStream(data BlockData, y, w []float64, loss Loss, l2 float64, margins, derivs, grad []float64) (float64, error) {
 	n := data.Rows()
 	if len(y) != n {
 		panic(fmt.Sprintf("opt: %d labels for %d rows", len(y), n))
@@ -65,15 +66,13 @@ func lossAndGradientStream(data BlockData, y, w []float64, loss Loss, l2 float64
 		return nil
 	})
 	if err != nil {
-		// Solver iteration loops have no error path; a block source failing
-		// mid-pass means its backing storage is gone, which is fatal.
-		panic(fmt.Sprintf("opt: block stream failed: %v", err))
+		return 0, err
 	}
 	invN := 1 / float64(n)
 	for j := range grad {
 		grad[j] = grad[j]*invN + l2*w[j]
 	}
-	return total*invN + 0.5*l2*la.Dot(w, w)
+	return total*invN + 0.5*l2*la.Dot(w, w), nil
 }
 
 // StreamConfig configures block-streaming SGD.

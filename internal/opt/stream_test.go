@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,7 +16,11 @@ type fakeBlocks struct {
 	m         *la.Dense
 	blockRows int
 	failAt    int // block index to fail at, -1 for never
+	failPass  int // first pass (ForEachBlock call, from 0) that fails at failAt
+	passes    int // ForEachBlock calls so far
 }
+
+var errInjectedBlock = errors.New("injected block failure")
 
 func (f *fakeBlocks) Rows() int { return f.m.Rows() }
 func (f *fakeBlocks) Cols() int { return f.m.Cols() }
@@ -30,9 +35,11 @@ func (f *fakeBlocks) NumBlocks() int {
 }
 
 func (f *fakeBlocks) ForEachBlock(fn func(RowBlock) error) error {
+	pass := f.passes
+	f.passes++
 	for i := 0; i < f.NumBlocks(); i++ {
-		if i == f.failAt {
-			return fmt.Errorf("injected block failure at %d", i)
+		if i == f.failAt && pass >= f.failPass {
+			return fmt.Errorf("%w at block %d", errInjectedBlock, i)
 		}
 		r0 := i * f.blockRows
 		nb := f.blockRows
@@ -123,6 +130,28 @@ func TestStreamBlockFailurePanics(t *testing.T) {
 		}
 	}()
 	LossAndGradient(&fakeBlocks{m: m, blockRows: 50, failAt: 2}, y, w, Logistic{}, 0)
+}
+
+// TestGradientDescentBlockFailureReturnsError: a block source failing on the
+// first evaluation, or on a later pass inside an iteration, ends
+// GradientDescent with that error instead of a panic.
+func TestGradientDescentBlockFailureReturnsError(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	m, y := randProblem(r, 200, 4)
+	cfg := GDConfig{Step: 0.2, MaxIter: 10, Backtracking: true}
+	for _, failPass := range []int{0, 3} {
+		fb := &fakeBlocks{m: m, blockRows: 50, failAt: 2, failPass: failPass}
+		res, err := GradientDescent(fb, y, Logistic{}, cfg)
+		if !errors.Is(err, errInjectedBlock) {
+			t.Fatalf("failPass=%d: err = %v, want the injected failure", failPass, err)
+		}
+		if res != nil {
+			t.Fatalf("failPass=%d: got a result alongside the error", failPass)
+		}
+		if fb.passes != failPass+1 {
+			t.Fatalf("failPass=%d: %d passes, want the run to stop at the failing one", failPass, fb.passes)
+		}
+	}
 }
 
 func TestStreamingSGDValidation(t *testing.T) {

@@ -162,7 +162,7 @@ func TestToMatrix(t *testing.T) {
 }
 
 func TestBufferPoolBasics(t *testing.T) {
-	bp, err := NewBufferPool(2, t.TempDir())
+	bp, err := NewBufferPoolBytes(2*4*8, t.TempDir()) // 2 pages of 4 floats
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestBufferPoolBasics(t *testing.T) {
 }
 
 func TestBufferPoolEvictionAndReload(t *testing.T) {
-	bp, err := NewBufferPool(2, t.TempDir())
+	bp, err := NewBufferPoolBytes(2*3*8, t.TempDir()) // 2 pages of 3 floats
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +199,11 @@ func TestBufferPoolEvictionAndReload(t *testing.T) {
 		}
 		data[0] = float64(100 + i)
 		bp.Unpin(id, true)
+		// A budget of exactly two pages holds two pages: callers size
+		// byte budgets as a page count times the page size.
+		if i == 1 && bp.ResidentPages() != 2 {
+			t.Fatalf("%d pages resident in a 2-page budget, want 2", bp.ResidentPages())
+		}
 	}
 	st := bp.Stats()
 	if st.Evictions == 0 || st.SpillWrites == 0 {
@@ -218,7 +223,7 @@ func TestBufferPoolEvictionAndReload(t *testing.T) {
 }
 
 func TestBufferPoolAllPinned(t *testing.T) {
-	bp, _ := NewBufferPool(1, t.TempDir())
+	bp, _ := NewBufferPoolBytes(1*2*8, t.TempDir()) // 1 page of 2 floats
 	if _, err := bp.Pin(PageID{1, 0}, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +234,7 @@ func TestBufferPoolAllPinned(t *testing.T) {
 }
 
 func TestBufferPoolFailureInjection(t *testing.T) {
-	bp, _ := NewBufferPool(1, t.TempDir())
+	bp, _ := NewBufferPoolBytes(1*2*8, t.TempDir()) // 1 page of 2 floats
 	injected := errors.New("disk on fire")
 	bp.SetFailureHooks(nil, func(PageID) error { return injected })
 	d, _ := bp.Pin(PageID{1, 0}, 2)
@@ -248,118 +253,6 @@ func TestBufferPoolFailureInjection(t *testing.T) {
 	bp.SetFailureHooks(func(PageID) error { return injected }, nil)
 	if _, err := bp.Pin(PageID{1, 0}, 2); err == nil || !errors.Is(err, injected) {
 		t.Fatalf("err = %v, want injected read failure", err)
-	}
-}
-
-func TestPagedMatrixRoundTrip(t *testing.T) {
-	bp, _ := NewBufferPool(3, t.TempDir())
-	r := rand.New(rand.NewSource(50))
-	d := la.NewDense(37, 5)
-	for i := 0; i < 37; i++ {
-		for j := 0; j < 5; j++ {
-			d.Set(i, j, r.NormFloat64())
-		}
-	}
-	pm, err := NewPagedMatrix(bp, 37, 5, 8) // 5 pages through a 3-page pool
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pm.FromDense(d); err != nil {
-		t.Fatal(err)
-	}
-	got, err := pm.ToDense()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(d, 0) {
-		t.Fatal("paged round trip mismatch")
-	}
-	if bp.Stats().SpillWrites == 0 {
-		t.Fatal("expected spills with 5 pages through 3-page pool")
-	}
-}
-
-func TestPagedMatrixOps(t *testing.T) {
-	bp, _ := NewBufferPool(2, t.TempDir())
-	r := rand.New(rand.NewSource(51))
-	d := la.NewDense(50, 4)
-	for i := 0; i < 50; i++ {
-		for j := 0; j < 4; j++ {
-			d.Set(i, j, r.NormFloat64())
-		}
-	}
-	pm, _ := NewPagedMatrix(bp, 50, 4, 7)
-	if err := pm.FromDense(d); err != nil {
-		t.Fatal(err)
-	}
-	v := []float64{1, -2, 0.5, 3}
-	got, err := pm.MatVec(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := la.MatVec(d, v)
-	for i := range got {
-		if diff := got[i] - want[i]; diff > 1e-12 || diff < -1e-12 {
-			t.Fatalf("MatVec[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	x := make([]float64, 50)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	gotV, err := pm.VecMat(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantV := la.VecMat(x, d)
-	for j := range gotV {
-		if diff := gotV[j] - wantV[j]; diff > 1e-10 || diff < -1e-10 {
-			t.Fatalf("VecMat[%d] = %v, want %v", j, gotV[j], wantV[j])
-		}
-	}
-	g, err := pm.Gram()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Equal(la.Gram(d), 1e-10) {
-		t.Fatal("paged Gram mismatch")
-	}
-	// Row access.
-	row := make([]float64, 4)
-	if err := pm.Row(33, row); err != nil {
-		t.Fatal(err)
-	}
-	for j := range row {
-		if row[j] != d.At(33, j) {
-			t.Fatalf("Row(33) = %v", row)
-		}
-	}
-	if err := pm.SetRow(33, []float64{9, 9, 9, 9}); err != nil {
-		t.Fatal(err)
-	}
-	_ = pm.Row(33, row)
-	if row[0] != 9 {
-		t.Fatal("SetRow did not stick")
-	}
-	if err := pm.Drop(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPagedMatrixValidation(t *testing.T) {
-	bp, _ := NewBufferPool(2, t.TempDir())
-	if _, err := NewPagedMatrix(bp, 0, 3, 2); err == nil {
-		t.Fatal("want dims error")
-	}
-	pm, _ := NewPagedMatrix(bp, 10, 3, 4)
-	if err := pm.SetRow(10, make([]float64, 3)); err == nil {
-		t.Fatal("want range error")
-	}
-	if err := pm.SetRow(0, make([]float64, 2)); err == nil {
-		t.Fatal("want length error")
-	}
-	if _, err := pm.MatVec(make([]float64, 2)); err == nil {
-		t.Fatal("want MatVec length error")
 	}
 }
 
@@ -482,7 +375,7 @@ func TestMustSchemaPanics(t *testing.T) {
 }
 
 func TestFlushAllAndResidentPages(t *testing.T) {
-	bp, _ := NewBufferPool(4, t.TempDir())
+	bp, _ := NewBufferPoolBytes(4*2*8, t.TempDir()) // 4 pages of 2 floats
 	for i := 0; i < 3; i++ {
 		d, err := bp.Pin(PageID{1, i}, 2)
 		if err != nil {
@@ -532,17 +425,6 @@ func TestCSVFileHelpers(t *testing.T) {
 	}
 	if err := WriteCSVFile("/nonexistent/dir/x.csv", tb); err == nil {
 		t.Fatal("want create error")
-	}
-}
-
-func TestPagedMatrixDims(t *testing.T) {
-	bp, _ := NewBufferPool(2, t.TempDir())
-	pm, _ := NewPagedMatrix(bp, 10, 3, 4)
-	if r, c := pm.Dims(); r != 10 || c != 3 {
-		t.Fatalf("Dims = %d,%d", r, c)
-	}
-	if pm.NumPages() != 3 {
-		t.Fatalf("NumPages = %d", pm.NumPages())
 	}
 }
 
@@ -615,7 +497,7 @@ func tablesEqual(a, b *Table) bool {
 // page's fixed length (resident or spilled) must fail descriptively instead
 // of silently handing back a slice of unexpected length.
 func TestBufferPoolPinSizeMismatch(t *testing.T) {
-	bp, err := NewBufferPool(1, t.TempDir())
+	bp, err := NewBufferPoolBytes(1*4*8, t.TempDir()) // 1 page of 4 floats
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,7 +534,7 @@ func TestBufferPoolPinSizeMismatch(t *testing.T) {
 // Satellite regression: DropOwner must report spill files it failed to
 // remove instead of silently leaking them.
 func TestDropOwnerReportsRemoveFailures(t *testing.T) {
-	bp, err := NewBufferPool(1, t.TempDir())
+	bp, err := NewBufferPoolBytes(1*2*8, t.TempDir()) // 1 page of 2 floats
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package storage provides dmml's relational storage substrate: typed
-// columnar tables with CSV import/export, plus a page-based buffer pool and
-// paged (out-of-core) matrices used to study memory-constrained ML execution.
+// columnar tables with CSV import/export, plus the page-based buffer pool
+// that internal/ooc pages out-of-core matrices through.
 package storage
 
 import (
